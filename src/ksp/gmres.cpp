@@ -1,6 +1,13 @@
-// Restarted GMRES with left preconditioning, modified Gram–Schmidt
-// orthogonalization and Givens-rotation least squares — the workhorse
-// solver in the paper's experiments (-ksp_type gmres is PETSc's default).
+// Restarted GMRES with modified Gram–Schmidt orthogonalization and
+// Givens-rotation least squares — the workhorse solver in the paper's
+// experiments (-ksp_type gmres is PETSc's default). One engine serves both
+// preconditioning sides, fixed by the concrete solver type:
+//  - Gmres, left: Arnoldi on M^{-1}A from the preconditioned residual
+//    M^{-1}(b - A x); x is updated from the Krylov basis V.
+//  - FGmres, flexible right (Saad 1993): stores z_j = M^{-1} v_j, so the
+//    preconditioner may change between iterations (an inner iterative
+//    solve, an adaptive multigrid cycle); the residual is unpreconditioned
+//    and x is updated from Z. PETSc exposes it as -ksp_type fgmres.
 
 #include <cmath>
 #include <vector>
@@ -10,39 +17,43 @@
 
 namespace kestrel::ksp {
 
-SolveResult Gmres::solve_once(LinearContext& ctx, const Vector& b,
-                              Vector& x) const {
+SolveResult RestartedGmres::solve_once(LinearContext& ctx, const Vector& b,
+                                       Vector& x) const {
   const Index n = ctx.local_size();
-  KESTREL_CHECK(b.size() == n, "gmres: rhs size mismatch");
-  KESTREL_CHECK(x.size() == n, "gmres: solution size mismatch");
-  const int m = settings_.gmres_restart;
-  KESTREL_CHECK(m >= 1, "gmres: restart must be >= 1");
+  KESTREL_CHECK(b.size() == n, name() + ": rhs size mismatch");
+  KESTREL_CHECK(x.size() == n, name() + ": solution size mismatch");
+  KESTREL_CHECK(settings_.gmres_restart >= 1,
+                name() + ": restart must be >= 1");
+  const auto m = static_cast<std::size_t>(settings_.gmres_restart);
+  const bool flexible = side_ == Side::kFlexibleRight;
   SolveResult result;
 
   Vector r(n), w(n), t(n);
-  std::vector<Vector> basis(static_cast<std::size_t>(m) + 1);
-  // Hessenberg in column-major packed form h[j][i], plus Givens terms.
-  std::vector<std::vector<Scalar>> h(
-      static_cast<std::size_t>(m),
-      std::vector<Scalar>(static_cast<std::size_t>(m) + 1, 0.0));
-  std::vector<Scalar> cs(static_cast<std::size_t>(m), 0.0);
-  std::vector<Scalar> sn(static_cast<std::size_t>(m), 0.0);
-  std::vector<Scalar> g(static_cast<std::size_t>(m) + 1, 0.0);
+  std::vector<Vector> v(m + 1);             // Krylov basis
+  std::vector<Vector> z(flexible ? m : 0);  // FGmres: z_j = M^{-1} v_j
+  // Hessenberg columns h[j][i], rotated in place into R; Givens terms; the
+  // rotated right-hand side g and the least-squares solution y.
+  std::vector<std::vector<Scalar>> h(m, std::vector<Scalar>(m + 1, 0.0));
+  std::vector<Scalar> cs(m, 0.0), sn(m, 0.0), g(m + 1, 0.0), y(m, 0.0);
+  std::vector<const Vector*> dirs(m);
 
-  // Preconditioned initial residual: r = M^{-1}(b - A x).
-  ctx.apply_operator(x, t);
-  t.aypx(-1.0, b);
-  ctx.apply_pc(t, r);
-  const Scalar rnorm0 = ctx.norm2(r);
+  // r = b - A x (left: M^{-1}(b - A x)); returns its norm.
+  auto residual = [&] {
+    Vector& u = flexible ? r : t;
+    ctx.apply_operator(x, u);
+    u.aypx(-1.0, b);
+    if (!flexible) ctx.apply_pc(t, r);
+    return ctx.norm2(r);
+  };
+
+  // The first cycle starts from this residual; later cycles recompute it
+  // from the updated iterate.
+  Scalar beta = residual();
+  const Scalar rnorm0 = beta;
   if (check(rnorm0, rnorm0, 0, &result)) return result;
 
   int total_it = 0;
   while (true) {
-    // Arnoldi from the current residual.
-    ctx.apply_operator(x, t);
-    t.aypx(-1.0, b);
-    ctx.apply_pc(t, r);
-    Scalar beta = ctx.norm2(r);
     if (beta == 0.0) {
       result.converged = true;
       result.reason = Reason::kConvergedAtol;
@@ -50,44 +61,38 @@ SolveResult Gmres::solve_once(LinearContext& ctx, const Vector& b,
       result.residual_norm = 0.0;
       return result;
     }
-    basis[0].copy_from(r);
-    basis[0].scale(1.0 / beta);
+    v[0].copy_from(r);
+    v[0].scale(1.0 / beta);
     std::fill(g.begin(), g.end(), 0.0);
     g[0] = beta;
 
-    int k = 0;  // number of completed Arnoldi steps this cycle
-    for (int j = 0; j < m; ++j) {
+    std::size_t k = 0;  // completed Arnoldi steps this cycle
+    bool done = false;
+    for (std::size_t j = 0; j < m; ++j) {
       ++total_it;
-      // w = M^{-1} A v_j
-      ctx.apply_operator(basis[static_cast<std::size_t>(j)], t);
-      ctx.apply_pc(t, w);
-      // modified Gram–Schmidt
-      for (int i = 0; i <= j; ++i) {
-        const Scalar hij = ctx.dot(w, basis[static_cast<std::size_t>(i)]);
-        h[static_cast<std::size_t>(j)][static_cast<std::size_t>(i)] = hij;
-        w.axpy(-hij, basis[static_cast<std::size_t>(i)]);
+      if (flexible) {  // z_j = M^{-1} v_j, w = A z_j
+        ctx.apply_pc(v[j], z[j]);
+        ctx.apply_operator(z[j], w);
+      } else {  // w = M^{-1} A v_j
+        ctx.apply_operator(v[j], t);
+        ctx.apply_pc(t, w);
+      }
+      auto& col = h[j];
+      for (std::size_t i = 0; i <= j; ++i) {  // modified Gram–Schmidt
+        col[i] = ctx.dot(w, v[i]);
+        w.axpy(-col[i], v[i]);
       }
       const Scalar hlast = ctx.norm2(w);
-      h[static_cast<std::size_t>(j)][static_cast<std::size_t>(j) + 1] =
-          hlast;
+      col[j + 1] = hlast;
 
-      // apply previous Givens rotations to the new column
-      auto& col = h[static_cast<std::size_t>(j)];
-      for (int i = 0; i < j; ++i) {
-        const Scalar tmp = cs[static_cast<std::size_t>(i)] *
-                               col[static_cast<std::size_t>(i)] +
-                           sn[static_cast<std::size_t>(i)] *
-                               col[static_cast<std::size_t>(i) + 1];
-        col[static_cast<std::size_t>(i) + 1] =
-            -sn[static_cast<std::size_t>(i)] *
-                col[static_cast<std::size_t>(i)] +
-            cs[static_cast<std::size_t>(i)] *
-                col[static_cast<std::size_t>(i) + 1];
-        col[static_cast<std::size_t>(i)] = tmp;
+      // apply the previous Givens rotations to the new column
+      for (std::size_t i = 0; i < j; ++i) {
+        const Scalar tmp = cs[i] * col[i] + sn[i] * col[i + 1];
+        col[i + 1] = -sn[i] * col[i] + cs[i] * col[i + 1];
+        col[i] = tmp;
       }
       // new rotation to annihilate the subdiagonal
-      const Scalar denom = std::hypot(col[static_cast<std::size_t>(j)],
-                                      col[static_cast<std::size_t>(j) + 1]);
+      const Scalar denom = std::hypot(col[j], col[j + 1]);
       if (!std::isfinite(denom)) {
         // A NaN/Inf Hessenberg entry (poisoned operator or dot product)
         // would silently corrupt every later rotation; surface it now.
@@ -97,66 +102,40 @@ SolveResult Gmres::solve_once(LinearContext& ctx, const Vector& b,
         result.residual_norm = denom;
         return result;
       }
-      if (denom == 0.0) {
-        cs[static_cast<std::size_t>(j)] = 1.0;
-        sn[static_cast<std::size_t>(j)] = 0.0;
-      } else {
-        cs[static_cast<std::size_t>(j)] =
-            col[static_cast<std::size_t>(j)] / denom;
-        sn[static_cast<std::size_t>(j)] =
-            col[static_cast<std::size_t>(j) + 1] / denom;
-      }
-      col[static_cast<std::size_t>(j)] = denom;
-      col[static_cast<std::size_t>(j) + 1] = 0.0;
-      g[static_cast<std::size_t>(j) + 1] =
-          -sn[static_cast<std::size_t>(j)] * g[static_cast<std::size_t>(j)];
-      g[static_cast<std::size_t>(j)] =
-          cs[static_cast<std::size_t>(j)] * g[static_cast<std::size_t>(j)];
+      cs[j] = denom == 0.0 ? 1.0 : col[j] / denom;
+      sn[j] = denom == 0.0 ? 0.0 : col[j + 1] / denom;
+      col[j] = denom;
+      col[j + 1] = 0.0;
+      g[j + 1] = -sn[j] * g[j];
+      g[j] = cs[j] * g[j];
 
       k = j + 1;
-      const Scalar rnorm = std::abs(g[static_cast<std::size_t>(j) + 1]);
-      const bool done = check(rnorm, rnorm0, total_it, &result);
-      if (!done && hlast != 0.0 && j + 1 <= m) {
-        basis[static_cast<std::size_t>(j) + 1].copy_from(w);
-        basis[static_cast<std::size_t>(j) + 1].scale(1.0 / hlast);
-      }
-      if (done || hlast == 0.0) {
-        // solve the least squares and update x, then return or restart
-        break;
-      }
+      done = check(std::abs(g[j + 1]), rnorm0, total_it, &result);
+      // Stop on convergence/failure or a lucky breakdown (hlast == 0: the
+      // Krylov space is invariant), then solve and update x.
+      if (done || hlast == 0.0) break;
+      v[j + 1].copy_from(w);
+      v[j + 1].scale(1.0 / hlast);
     }
 
-    // back substitution: y = H^{-1} g (upper triangular k x k)
-    std::vector<Scalar> y(static_cast<std::size_t>(k), 0.0);
-    for (int i = k - 1; i >= 0; --i) {
-      Scalar sum = g[static_cast<std::size_t>(i)];
-      for (int j2 = i + 1; j2 < k; ++j2) {
-        sum -= h[static_cast<std::size_t>(j2)][static_cast<std::size_t>(i)] *
-               y[static_cast<std::size_t>(j2)];
-      }
-      const Scalar hii =
-          h[static_cast<std::size_t>(i)][static_cast<std::size_t>(i)];
-      if (hii == 0.0) {
+    // back substitution: y = R^{-1} g (upper triangular k x k)
+    for (std::size_t i = k; i-- > 0;) {
+      Scalar sum = g[i];
+      for (std::size_t l = i + 1; l < k; ++l) sum -= h[l][i] * y[l];
+      if (h[i][i] == 0.0) {
         result.converged = false;
         result.reason = Reason::kDivergedBreakdown;
         result.iterations = total_it;
         return result;
       }
-      y[static_cast<std::size_t>(i)] = sum / hii;
+      y[i] = sum / h[i][i];
     }
-    // fused multi-vector update (VecMAXPY): one pass over x
-    std::vector<const Vector*> ptrs(static_cast<std::size_t>(k));
-    for (int i = 0; i < k; ++i) {
-      ptrs[static_cast<std::size_t>(i)] = &basis[static_cast<std::size_t>(i)];
-    }
-    x.maxpy(static_cast<std::size_t>(k), y.data(), ptrs.data());
+    // x += V y (left) or Z y (flexible): one fused VecMAXPY pass over x
+    for (std::size_t i = 0; i < k; ++i) dirs[i] = flexible ? &z[i] : &v[i];
+    x.maxpy(k, y.data(), dirs.data());
 
-    if (result.converged || result.reason == Reason::kDivergedNan ||
-        result.reason == Reason::kDeadlineExceeded ||
-        (result.reason == Reason::kDivergedMaxIts &&
-         total_it >= settings_.max_iterations)) {
-      return result;
-    }
+    if (done) return result;
+    beta = residual();
   }
 }
 

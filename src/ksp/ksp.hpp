@@ -126,8 +126,8 @@ class Solver {
                            Vector& x) const;
 };
 
-/// Factory keyed by PETSc-style names: cg, gmres, bicgstab, richardson,
-/// chebyshev.
+/// Factory keyed by PETSc-style names: cg, gmres, fgmres, bicgstab|bcgs,
+/// richardson. Chebyshev needs eigenvalue bounds and is built directly.
 std::unique_ptr<Solver> make_solver(const std::string& type,
                                     Settings settings = {});
 
@@ -141,21 +141,36 @@ class Cg final : public Solver {
   std::string name() const override { return "cg"; }
 };
 
-class Gmres final : public Solver {
+/// Restarted GMRES engine (gmres.cpp) shared by Gmres and FGmres. The
+/// preconditioning side is fixed by the concrete type, never by a setting.
+class RestartedGmres : public Solver {
  public:
-  using Solver::Solver;
   SolveResult solve_once(LinearContext& ctx, const Vector& b,
-                         Vector& x) const override;
+                         Vector& x) const final;
+
+ protected:
+  enum class Side { kLeft, kFlexibleRight };
+  RestartedGmres(Settings settings, Side side)
+      : Solver(settings), side_(side) {}
+
+ private:
+  Side side_;
+};
+
+/// Left-preconditioned restarted GMRES.
+class Gmres final : public RestartedGmres {
+ public:
+  explicit Gmres(Settings settings = {})
+      : RestartedGmres(settings, Side::kLeft) {}
   std::string name() const override { return "gmres"; }
 };
 
 /// Flexible GMRES (right-preconditioned; the preconditioner may vary per
 /// iteration).
-class FGmres final : public Solver {
+class FGmres final : public RestartedGmres {
  public:
-  using Solver::Solver;
-  SolveResult solve_once(LinearContext& ctx, const Vector& b,
-                         Vector& x) const override;
+  explicit FGmres(Settings settings = {})
+      : RestartedGmres(settings, Side::kFlexibleRight) {}
   std::string name() const override { return "fgmres"; }
 };
 

@@ -99,11 +99,24 @@ bool env_flag(const char* name, bool fallback) {
 /// re-checks the counter, and seq_cst is what forbids both sides reading
 /// stale values at once (a lost wakeup). The mutex/condvar is touched only
 /// when a side actually has to park — the fast path is two atomic ops.
+///
+/// Ownership and lifetime: the channel itself belongs to the Fabric and
+/// outlives every rank. `dest` points into memory the receiver owns (a
+/// ParMatrix's ghost_ vector); it is valid from open_exchange until the
+/// receiving PersistentExchange is destroyed. That destructor sets `closed`
+/// and waits until `writers` is 0, so a sender that passed the armed check
+/// before the receiver unwound (after a RankFailure, say) finishes its copy
+/// before the slice is freed, and one that arrives later skips the copy.
+/// The sender's writers++ / closed load and the receiver's closed store /
+/// writers load are another seq_cst Dekker pair: at least one side sees
+/// the other.
 struct GhostChannel {
   int src = -1;
   int dst = -1;
   Scalar* dest = nullptr;  ///< receiver-registered in-place slice
   Index recv_count = 0;
+  std::atomic<bool> closed{false};  ///< receiver tore down; dest is gone
+  std::atomic<int> writers{0};      ///< senders currently touching dest
   std::atomic<std::uint64_t> armed{0};
   std::atomic<std::uint64_t> delivered{0};
   /// Aegis end-to-end payload checksum of the current round's slice,
@@ -338,10 +351,10 @@ void Comm::publish_stats_metrics() {
 
 // ---- PersistentExchange ----------------------------------------------
 
-std::shared_ptr<PersistentExchange> Comm::open_exchange(
+std::unique_ptr<PersistentExchange> Comm::open_exchange(
     const std::vector<GhostSendSpec>& sends,
     const std::vector<GhostRecvSpec>& recvs) {
-  std::shared_ptr<PersistentExchange> ex(
+  std::unique_ptr<PersistentExchange> ex(
       new PersistentExchange(fabric_, rank_));
   ex->sends_.reserve(sends.size());
   for (const GhostSendSpec& s : sends) {
@@ -374,6 +387,17 @@ std::shared_ptr<PersistentExchange> Comm::open_exchange(
 
 PersistentExchange::PersistentExchange(Fabric* fabric, int rank)
     : fabric_(fabric), rank_(rank) {}
+
+PersistentExchange::~PersistentExchange() {
+  // Receiver teardown: after this loop no sender touches our slices, so the
+  // owner may free them. The wait is bounded by one in-flight memcpy.
+  for (RecvSlot& r : recvs_) {
+    r.ch->closed.store(true, std::memory_order_seq_cst);
+    while (r.ch->writers.load(std::memory_order_seq_cst) != 0) {
+      std::this_thread::yield();
+    }
+  }
+}
 
 void PersistentExchange::arm() {
   KESTREL_CHECK(round_ == 0 || completed_ == nrecv(),
@@ -497,16 +521,24 @@ void PersistentExchange::send(int send_idx, const Scalar* packed,
   // open_exchange, so this cross-thread validation is race-free.
   KESTREL_CHECK(count == ch.recv_count,
                 "send: sender plan count does not match receiver plan count");
-  std::memcpy(ch.dest, packed, static_cast<std::size_t>(count) *
-                                   sizeof(Scalar));
-  if (plan != nullptr && plan->corrupts_messages()) {
-    // End-to-end integrity: published before (and by) the delivered bump;
-    // the receiver re-checksums the in-place slice in wait_any.
-    ch.xsum.store(
-        aegis::checksum_bytes(ch.dest, static_cast<std::size_t>(count) *
-                                           sizeof(Scalar)),
-        std::memory_order_relaxed);
+  // Touch dest only while registered as a writer, and only if the receiver
+  // has not torn down: a closed channel's slice may already be freed. The
+  // skipped round is never consumed; this rank learns of the failure at its
+  // next blocking fabric call, through abort_all.
+  ch.writers.fetch_add(1, std::memory_order_seq_cst);
+  if (!ch.closed.load(std::memory_order_seq_cst)) {
+    std::memcpy(ch.dest, packed,
+                static_cast<std::size_t>(count) * sizeof(Scalar));
+    if (plan != nullptr && plan->corrupts_messages()) {
+      // End-to-end integrity: published before (and by) the delivered
+      // bump; the receiver re-checksums the in-place slice in wait_any.
+      ch.xsum.store(
+          aegis::checksum_bytes(ch.dest, static_cast<std::size_t>(count) *
+                                             sizeof(Scalar)),
+          std::memory_order_relaxed);
+    }
   }
+  ch.writers.fetch_sub(1, std::memory_order_release);
   st.channel_sends++;
   st.payload_copies++;
   if (prof::enabled()) {

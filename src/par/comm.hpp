@@ -1,13 +1,14 @@
 #pragma once
 // In-process message-passing fabric.
 //
-// The paper's parallel SpMV runs on MPI; this machine has a single core and
-// no MPI, so Kestrel provides an MPI-shaped substrate whose ranks are
-// std::threads and whose messages travel through in-memory mailboxes. The
-// subset implemented (nonblocking send/recv + wait, allreduce, barrier,
-// gather) is exactly what the overlapped SpMV of paper section 2.2 and the
-// Krylov solvers need. Semantics follow MPI: sends are eager and
-// nonblocking, receives match on (source, tag) in posting order.
+// The paper's parallel SpMV runs on MPI across nodes; the reproduction host
+// is one 4-core node without MPI, so Kestrel provides an MPI-shaped
+// substrate whose ranks are std::threads and whose messages travel through
+// in-memory mailboxes. The subset implemented (nonblocking send/recv +
+// wait, allreduce, barrier, gather) is exactly what the overlapped SpMV of
+// paper section 2.2 and the Krylov solvers need. Semantics follow MPI:
+// sends are eager and nonblocking, receives match on (source, tag) in
+// posting order.
 //
 // Kestrel Slipstream adds a persistent-communication fast path modeled on
 // MPI_Send_init/MPI_Recv_init + MPI_Start/MPI_Waitany: both endpoints of a
@@ -82,8 +83,10 @@ struct GhostSendSpec {
 };
 
 /// One receiver-side persistent channel: `count` scalars per round from
-/// `peer`, delivered in place into [dest, dest + count). `dest` must stay
-/// valid for the lifetime of the exchange.
+/// `peer`, delivered in place into [dest, dest + count). The receiver owns
+/// the slice and must keep it alive until its PersistentExchange is
+/// destroyed; the destructor closes the channel and waits out any sender
+/// still copying, so the slice may be freed right after it.
 struct GhostRecvSpec {
   int peer = -1;
   Scalar* dest = nullptr;
@@ -114,6 +117,9 @@ class PersistentExchange {
  public:
   PersistentExchange(const PersistentExchange&) = delete;
   PersistentExchange& operator=(const PersistentExchange&) = delete;
+  /// Closes every receive channel and waits until no sender is writing
+  /// into a registered slice (safe during unwinding after a rank failure).
+  ~PersistentExchange();
 
   int nsend() const { return static_cast<int>(sends_.size()); }
   int nrecv() const { return static_cast<int>(recvs_.size()); }
@@ -196,8 +202,9 @@ class Comm {
 
   /// Registers this rank's half of a persistent ghost exchange (see
   /// PersistentExchange). Purely local: no synchronization with the peers
-  /// happens until the first arm()/send().
-  std::shared_ptr<PersistentExchange> open_exchange(
+  /// happens until the first arm()/send(). The caller owns the exchange
+  /// and must destroy it before freeing any recv slice (GhostRecvSpec).
+  std::unique_ptr<PersistentExchange> open_exchange(
       const std::vector<GhostSendSpec>& sends,
       const std::vector<GhostRecvSpec>& recvs);
 

@@ -335,7 +335,7 @@ ParMatrix::ParMatrix(const mat::Csr& local_rows, LayoutPtr layout,
 }
 
 void ParMatrix::ensure_exchange(Comm& comm) const {
-  if (exchange_ != nullptr && exchange_ghost_base_ == ghost_.data()) return;
+  if (exchange_.ex != nullptr) return;
   std::vector<GhostSendSpec> send_specs;
   send_specs.reserve(sends_.size());
   for (const SendPlan& plan : sends_) {
@@ -348,8 +348,7 @@ void ParMatrix::ensure_exchange(Comm& comm) const {
     recv_specs.push_back(
         {plan.peer, ghost_.data() + plan.ghost_offset, plan.count});
   }
-  exchange_ = comm.open_exchange(send_specs, recv_specs);
-  exchange_ghost_base_ = ghost_.data();
+  exchange_.ex = comm.open_exchange(send_specs, recv_specs);
 }
 
 ParMatrix ParMatrix::from_global(const mat::Csr& global, LayoutPtr layout,
@@ -402,7 +401,7 @@ void ParMatrix::spmv_local(const Scalar* x_local, Vector& y_local,
     // arming first (and only then sending) is what makes the rendezvous
     // deadlock-free — a peer parked in send() is waiting on this line.
     ensure_exchange(comm);
-    exchange_->arm();
+    exchange_.ex->arm();
   }
 
   // (1) send the locally owned entries that other ranks need (eager sends
@@ -419,7 +418,7 @@ void ParMatrix::spmv_local(const Scalar* x_local, Vector& y_local,
     }
     prof::ScopedEvent send(ev_send);
     if (persistent) {
-      exchange_->send(static_cast<int>(si), packed, count);
+      exchange_.ex->send(static_cast<int>(si), packed, count);
     } else {
       comm.isend(plan.peer, kTagGhost, packed,
                  static_cast<std::size_t>(count));
@@ -480,8 +479,8 @@ void ParMatrix::spmv_local(const Scalar* x_local, Vector& y_local,
   {
     prof::ScopedEvent wait(ev_wait);
     if (persistent) {
-      for (int c = 0; c < exchange_->nrecv(); ++c) {
-        (void)exchange_->wait_any();
+      for (int c = 0; c < exchange_.ex->nrecv(); ++c) {
+        (void)exchange_.ex->wait_any();
       }
     } else {
       for (const RecvPlan& plan : recvs_) {

@@ -148,11 +148,25 @@ class ParMatrix {
   std::vector<std::size_t> send_offsets_;
 
   /// Persistent channel set, opened lazily at the first spmv (collective
-  /// because spmv is collective). The recorded ghost_ base pointer detects
-  /// a copied ParMatrix — whose ghost_ lives elsewhere — and re-opens
-  /// fresh channels for it instead of writing into the original's buffer.
-  mutable std::shared_ptr<PersistentExchange> exchange_;
-  mutable const Scalar* exchange_ghost_base_ = nullptr;
+  /// because spmv is collective). Its receive slices point into ghost_, so
+  /// exactly one ParMatrix owns it: a copy starts without channels and
+  /// opens its own. Declared after ghost_ so it is destroyed first: its
+  /// destructor closes the channels and waits out in-flight senders before
+  /// ghost_ is freed (rank-failure unwinding included). ghost_ is sized
+  /// once in the constructor and a move keeps its buffer, so the slices
+  /// stay put for the exchange's lifetime.
+  struct OwnedExchange {
+    std::unique_ptr<PersistentExchange> ex;
+    OwnedExchange() = default;
+    OwnedExchange(const OwnedExchange&) {}
+    OwnedExchange(OwnedExchange&&) = default;
+    OwnedExchange& operator=(const OwnedExchange&) {
+      ex.reset();
+      return *this;
+    }
+    OwnedExchange& operator=(OwnedExchange&&) = default;
+  };
+  mutable OwnedExchange exchange_;
 
   void ensure_exchange(Comm& comm) const;
 };

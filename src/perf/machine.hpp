@@ -1,11 +1,12 @@
 #pragma once
 // Machine profiles for the processors in the paper's Table 1.
 //
-// SUBSTITUTION NOTE (see DESIGN.md): this build runs on a single-core VM,
-// so the many-core scaling and MCDRAM behavior of the paper's figures are
-// regenerated from these profiles through an analytic performance model
-// (bwmodel.hpp + spmv_model.hpp) calibrated to the paper's own published
-// curves (Figure 4 STREAM, Figure 9 roofline ceilings, Table 1 specs).
+// SUBSTITUTION NOTE (see DESIGN.md): this build runs on one 4-core AVX-512
+// node (one NUMA node, no MCDRAM, no PMU), so the many-core scaling and
+// MCDRAM behavior of the paper's figures are regenerated from these
+// profiles through an analytic performance model (bwmodel.hpp +
+// spmv_model.hpp) calibrated to the paper's own published curves (Figure 4
+// STREAM, Figure 9 roofline ceilings, Table 1 specs).
 // The vectorization story itself — the relative speed of the scalar, AVX,
 // AVX2 and AVX-512 kernels — is additionally measured natively, since the
 // host CPU supports AVX-512.

@@ -78,8 +78,9 @@ const char* status_name(Status s);
 struct SolveRequest {
   std::string handle;            ///< registry name of the operator
   std::string tenant = "default";
-  std::string ksp_type = "cg";   ///< cg|gmres|fgmres|bicgstab|richardson|
-                                 ///< chebyshev (needs cheb_emin/cheb_emax)
+  /// A ksp::make_solver name (cg|gmres|fgmres|bicgstab|bcgs|richardson), or
+  /// chebyshev, which the service builds itself from cheb_emin/cheb_emax.
+  std::string ksp_type = "cg";
   ksp::Settings ksp;
   Vector b;
   /// Wall budget for this request, queue wait included; 0 uses the service

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
 
 #include "app/laplacian.hpp"
 #include "ksp/context.hpp"
@@ -154,6 +155,53 @@ TEST(Gmres, MaxIterationsReported) {
   const SolveResult res = gmres.solve(ctx, b, x);
   EXPECT_FALSE(res.converged);
   EXPECT_EQ(res.reason, Reason::kDivergedMaxIts);
+}
+
+/// Sequential context that counts operator and preconditioner applications.
+class CountingContext final : public LinearContext {
+ public:
+  CountingContext(const mat::Matrix& a, const pc::Pc& pc) : a_(a), pc_(pc) {}
+  Index local_size() const override { return a_.rows(); }
+  void apply_operator(const Vector& x, Vector& y) override {
+    ++operator_calls;
+    a_.spmv(x, y);
+  }
+  void apply_pc(const Vector& r, Vector& z) override {
+    ++pc_calls;
+    pc_.apply(r, z);
+  }
+
+  int operator_calls = 0;
+  int pc_calls = 0;
+
+ private:
+  const mat::Matrix& a_;
+  const pc::Pc& pc_;
+};
+
+TEST(Gmres, PaysOneResidualPerRestartCycle) {
+  // k iterations over c cycles: one multiply per Arnoldi step plus one
+  // residual per cycle. GMRES preconditions both; FGMRES preconditions only
+  // the Arnoldi directions. The first cycle reuses the residual that gave
+  // the initial norm instead of recomputing it.
+  const mat::Csr a = testing::banded(80, {-3, 1, 7});
+  const Vector b = make_rhs(a, sinusoid(80));
+  const pc::Jacobi jacobi(a);
+  for (const std::string type : {"gmres", "fgmres"}) {
+    Settings settings;
+    settings.rtol = 1e-10;
+    settings.gmres_restart = 4;
+    const auto solver = make_solver(type, settings);
+    CountingContext ctx(a, jacobi);
+    Vector x(80);
+    const SolveResult res = solver->solve(ctx, b, x);
+    ASSERT_TRUE(res.converged) << type;
+    const int k = res.iterations;
+    const int c = (k + settings.gmres_restart - 1) / settings.gmres_restart;
+    ASSERT_GE(c, 3) << type;
+    EXPECT_EQ(ctx.operator_calls, k + c) << type;
+    EXPECT_EQ(ctx.pc_calls, type == "gmres" ? k + c : k) << type;
+  }
 }
 
 TEST(BiCgStab, SolvesNonsymmetricSystem) {

@@ -65,8 +65,7 @@ INSTANTIATE_TEST_SUITE_P(
     Grid, SolverPcGrid,
     ::testing::Combine(::testing::Values("gmres", "fgmres", "bicgstab",
                                          "richardson"),
-                       ::testing::Values("none", "jacobi", "sor", "ilu",
-                                         "ilu-level")),
+                       ::testing::Values("none", "jacobi", "sor", "ilu")),
     [](const ::testing::TestParamInfo<std::tuple<const char*, const char*>>&
            p) {
       std::string name = std::string(std::get<0>(p.param)) + "_" +
